@@ -87,11 +87,7 @@ const CodeVariant *CodeManager::install(std::unique_ptr<CodeVariant> Variant) {
       FusedBytesTotal += Ptr->Fused->FusedBytes;
     }
   }
-  unsigned Serial = 0;
-  for (const auto &Existing : Variants)
-    if (Existing->M == Ptr->M)
-      ++Serial;
-  Ptr->SerialNumber = Serial;
+  Ptr->SerialNumber = NextSerial[Ptr->M]++;
   Ptr->InstallSeq = NextInstallSeq++;
   // Installation counts as a use: freshly compiled code must not be the
   // least-recently-used victim before it ever runs.
@@ -167,11 +163,10 @@ const CodeVariant *CodeManager::install(std::unique_ptr<CodeVariant> Variant) {
   if (Ptr->Level == OptLevel::Baseline)
     Baseline[Ptr->M] = Ptr;
   Variants.push_back(std::move(Variant));
+  Live.push_back(Ptr);
 
-  // Tell the engine before enforcing capacity, so dispatch memos aimed at
-  // the superseded variant are gone by the time an eviction pass audits.
   if (Delegate)
-    Delegate->onInstalled(*Ptr, KeepCurrent ? nullptr : Prev);
+    Delegate->onInstalled(*Ptr);
   enforceCapacity(Ptr);
   // The high-water mark is taken at install boundaries outside eviction
   // passes: baselines materialized mid-deopt transiently overshoot until
@@ -183,15 +178,13 @@ const CodeVariant *CodeManager::install(std::unique_ptr<CodeVariant> Variant) {
 }
 
 bool CodeManager::evictNow(const CodeVariant &V) {
-  CodeVariant *Target = nullptr;
-  for (const auto &Owned : Variants)
-    if (Owned.get() == &V) {
-      Target = Owned.get();
-      break;
-    }
-  assert(Target && "evictNow on a variant this manager does not own");
-  if (!Target || Target->Evicted)
+  if (V.Evicted)
     return true;
+  auto It = std::find(Live.begin(), Live.end(), &V);
+  assert(It != Live.end() && "evictNow on a variant this manager does not own");
+  if (It == Live.end())
+    return true;
+  CodeVariant *Target = *It;
   if (!Delegate)
     return false; // liveness unknowable: pinned, like enforceCapacity
   // Mirror enforceCapacity's re-entrancy discipline: baselines the deopt
@@ -215,8 +208,8 @@ bool CodeManager::evictNow(const CodeVariant &V) {
 
 uint64_t CodeManager::sharedInBytesLive() const {
   uint64_t Bytes = 0;
-  for (const auto &V : Variants)
-    if (!V->Evicted && V->SharedIn)
+  for (const CodeVariant *V : Live)
+    if (V->SharedIn)
       Bytes += V->CodeBytes;
   return Bytes;
 }
@@ -233,7 +226,8 @@ namespace {
 
 /// Deterministic victim order: least-recently-invoked first under Lru
 /// (install sequence breaking ties), pure install order under Fifo. Both
-/// keys derive from the simulated clock alone.
+/// keys derive from the simulated clock alone, and InstallSeq is unique,
+/// so this is a total order on variants.
 bool victimBefore(EvictPolicy Policy, const CodeVariant &A,
                   const CodeVariant &B) {
   if (Policy == EvictPolicy::Lru && A.LastUsedCycle != B.LastUsedCycle)
@@ -253,9 +247,8 @@ void CodeManager::enforceCapacity(const CodeVariant *JustInstalled) {
   while (LiveBytes > Model.CodeCache.CapacityBytes) {
     CodeVariant *Victim = nullptr;
     bool VictimPreferred = false;
-    for (const auto &Owned : Variants) {
-      CodeVariant *V = Owned.get();
-      if (V->Evicted || V == JustInstalled ||
+    for (CodeVariant *V : Live) {
+      if (V == JustInstalled ||
           std::find(Pinned.begin(), Pinned.end(), V) != Pinned.end())
         continue;
       // The controller's prefer-keep hook only reorders: preferred
@@ -283,6 +276,10 @@ void CodeManager::enforceCapacity(const CodeVariant *JustInstalled) {
 void CodeManager::evict(CodeVariant &V) {
   assert(!V.Evicted && "double eviction");
   V.Evicted = true;
+  auto It = std::find(Live.begin(), Live.end(), &V);
+  assert(It != Live.end() && "evicting a variant missing from the live index");
+  *It = Live.back();
+  Live.pop_back();
   // Fused handlers die with the code. prepareEviction proved no frame is
   // suspended in this variant, and pushFrame/retargetFrame re-read the
   // pointer on every (re)entry, so nothing can still hold the old map.
@@ -323,14 +320,36 @@ void CodeManager::evict(CodeVariant &V) {
 void CodeManager::auditAccounting(const char *Where) const {
   if (!audit::enabled())
     return;
+  // The live index must hold exactly the non-evicted variants, each once:
+  // sorted, it equals the sorted live subset of a full scan.
+  std::vector<const CodeVariant *> Indexed(Live.begin(), Live.end());
+  std::vector<const CodeVariant *> Scanned;
+  std::vector<unsigned> PerMethod(NextSerial.size(), 0);
   uint64_t Sum = 0;
-  for (const auto &V : Variants)
-    if (!V->Evicted)
+  for (const auto &V : Variants) {
+    ++PerMethod[V->M];
+    if (!V->Evicted) {
       Sum += V->CodeBytes;
+      Scanned.push_back(V.get());
+    }
+  }
   audit::check(Sum == LiveBytes, "CodeManager",
                std::string(Where) + ": live-byte ledger " +
                    std::to_string(LiveBytes) + " != sum of live variants " +
                    std::to_string(Sum));
+  std::sort(Indexed.begin(), Indexed.end(), std::less<>());
+  std::sort(Scanned.begin(), Scanned.end(), std::less<>());
+  audit::check(Indexed == Scanned, "CodeManager",
+               std::string(Where) + ": live index (" +
+                   std::to_string(Indexed.size()) +
+                   " entries) differs from the " +
+                   std::to_string(Scanned.size()) + " non-evicted variants");
+  for (size_t M = 0; M != NextSerial.size(); ++M)
+    audit::check(NextSerial[M] == PerMethod[M], "CodeManager",
+                 std::string(Where) + ": serial counter of method " +
+                     std::to_string(M) + " is " +
+                     std::to_string(NextSerial[M]) + ", " +
+                     std::to_string(PerMethod[M]) + " variants installed");
   for (size_t M = 0; M != Current.size(); ++M) {
     const CodeVariant *C = Current[M];
     audit::check(!C || (!C->Evicted && C->M == M), "CodeManager",

@@ -47,16 +47,14 @@ public:
   /// different victim.
   virtual bool prepareEviction(const CodeVariant &V) = 0;
 
-  /// \p V has just been evicted: drop every cached dispatch structure
-  /// (inline-cache code memos, MethodHotData-derived pointers) that could
-  /// still route execution into it.
+  /// \p V has just been evicted. The engine caches no code pointer
+  /// outside frames (every call resolves through current()), so there is
+  /// nothing to invalidate; the hook re-audits engine state.
   virtual void onEvicted(const CodeVariant &V) = 0;
 
-  /// \p Installed has just become its method's current code, superseding
-  /// \p Superseded (null on first compile). Dispatch memos resolved to
-  /// the superseded variant must be dropped here.
-  virtual void onInstalled(const CodeVariant &Installed,
-                           const CodeVariant *Superseded) = 0;
+  /// \p Installed has just been registered, before the capacity pass
+  /// runs. Like onEvicted, an audit point rather than an invalidation.
+  virtual void onInstalled(const CodeVariant &Installed) = 0;
 };
 
 /// Registry of compiled code. By default installation never frees the
@@ -73,6 +71,11 @@ public:
 /// identically. Evicted variants stay owned as tombstones (Evicted flag)
 /// so a stale pointer is an auditable bug, not a use-after-free; evicted
 /// methods recompile on re-entry through VirtualMachine::ensureCompiled.
+///
+/// Tombstones are kept but never scanned: victim search, evictNow and the
+/// shared-byte tally walk a separate index of live variants, and serial
+/// numbers come from a per-method counter, so an install or an eviction
+/// costs O(live variants), not O(variants ever installed).
 class CodeManager {
 public:
   /// \p P must outlive the manager; install() consults it to build each
@@ -81,7 +84,7 @@ public:
   explicit CodeManager(const Program &P, const CostModel &Model = CostModel())
       : P(P), Model(Model), Current(P.numMethods(), nullptr),
         Baseline(P.numMethods(), nullptr),
-        PendingRecompile(P.numMethods(), 0) {}
+        PendingRecompile(P.numMethods(), 0), NextSerial(P.numMethods(), 0) {}
 
   /// Current variant for \p M, or null when the method has never been
   /// compiled.
@@ -202,9 +205,10 @@ private:
   /// code-evict trace event.
   void evict(CodeVariant &V);
 
-  /// Throws audit::AuditError when the byte ledgers disagree with the
-  /// variant tombstone flags or a dispatch table points at evicted code.
-  /// No-op unless auditing is enabled (support/Audit.h).
+  /// Throws audit::AuditError when the byte ledgers, the live index or the
+  /// serial counters disagree with a full scan of the variants, or a
+  /// dispatch table points at evicted code. No-op unless auditing is
+  /// enabled (support/Audit.h).
   void auditAccounting(const char *Where) const;
 
   const Program &P;
@@ -213,11 +217,17 @@ private:
   CodeEvictionDelegate *Delegate = nullptr;
   std::function<bool(MethodId)> PreferKeep;
   std::vector<std::unique_ptr<CodeVariant>> Variants;
+  /// The non-evicted subset of Variants, in no particular order: victim
+  /// choice is the minimum of a total order, so scan order cannot matter.
+  std::vector<CodeVariant *> Live;
   std::vector<const CodeVariant *> Current;
   std::vector<const CodeVariant *> Baseline;
   /// Methods whose current code was evicted; the next install of such a
   /// method counts toward RecompilesAfterEvict.
   std::vector<uint8_t> PendingRecompile;
+  /// Next CodeVariant::SerialNumber per method: the number of variants
+  /// (tombstones included) ever installed for it.
+  std::vector<unsigned> NextSerial;
   uint64_t OptBytesGenerated = 0;
   uint64_t OptCompileCyclesTotal = 0;
   uint64_t BaseCompileCyclesTotal = 0;

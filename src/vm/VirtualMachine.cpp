@@ -290,7 +290,6 @@ void VirtualMachine::handleCall(ThreadState &T, const Instruction &I) {
   // would pay.
   MethodId Target = DeclId;
   uint64_t DispatchCost = 0;
-  MethodHotData::IcEntry *IcSlot = nullptr;
   if (I.Op == Opcode::InvokeVirtual || I.Op == Opcode::InvokeInterface) {
     const Value &Receiver = T.Slab[T.SlabTop - ArgSlots];
     assert(Receiver.isRef() && "null or non-reference receiver");
@@ -310,9 +309,7 @@ void VirtualMachine::handleCall(ThreadState &T, const Instruction &I) {
       assert(Target != InvalidMethodId && "receiver does not implement method");
       Ic.Receiver = Obj.Klass;
       Ic.Target = Target;
-      Ic.Code = nullptr;
     }
-    IcSlot = &Ic;
     DispatchCost = I.Op == Opcode::InvokeVirtual ? Model.VirtualDispatch
                                                  : Model.InterfaceDispatch;
   }
@@ -348,20 +345,7 @@ void VirtualMachine::handleCall(ThreadState &T, const Instruction &I) {
   }
 
   charge(Model.CallOverhead + DispatchCost);
-  // The inline cache also memoizes the target's code. A hit skips the
-  // ensureCompiled() lookup, which charges nothing for already-compiled
-  // methods — so the memo is cycle-neutral, but ONLY as long as install
-  // and evict drop stale entries (see onInstalled/onEvicted).
-  const CodeVariant *V;
-  if (IcSlot != nullptr && IcSlot->Code != nullptr) {
-    assert(IcSlot->Code == Code.current(Target) && "stale inline-cache code");
-    V = IcSlot->Code;
-  } else {
-    V = ensureCompiled(Target);
-    if (IcSlot != nullptr)
-      IcSlot->Code = V;
-  }
-  enterPhysicalFrame(T, Target, V);
+  enterPhysicalFrame(T, Target, ensureCompiled(Target));
   // A physical method entry is a prologue yieldpoint (Section 3.2): if the
   // timer has fired, the edge/trace listeners sample here.
   maybeDeliverSample(T, /*AtPrologue=*/true);
@@ -1016,25 +1000,9 @@ bool VirtualMachine::prepareEviction(const CodeVariant &V) {
   return true;
 }
 
-void VirtualMachine::invalidateIcMemos(const CodeVariant &V) {
-  for (MethodHotData &Hot : HotData)
-    for (MethodHotData::IcEntry &Ic : Hot.InlineCaches)
-      if (Ic.Code == &V)
-        Ic.Code = nullptr;
-}
+void VirtualMachine::onEvicted(const CodeVariant &) { auditState("evict"); }
 
-void VirtualMachine::onEvicted(const CodeVariant &V) {
-  // The interpreter must never dispatch into reclaimed code: drop every
-  // inline-cache memo that resolved to the evicted variant. Receiver and
-  // Target survive — they are pure functions of the class hierarchy.
-  invalidateIcMemos(V);
-  auditState("evict");
-}
-
-void VirtualMachine::onInstalled(const CodeVariant &Installed,
-                                 const CodeVariant *Superseded) {
-  if (Superseded != nullptr)
-    invalidateIcMemos(*Superseded);
+void VirtualMachine::onInstalled(const CodeVariant &) {
   auditState("install");
 }
 
@@ -1058,18 +1026,6 @@ void VirtualMachine::auditState(const char *Where) const {
                    std::string(Where) + ": thread " + std::to_string(TPtr->Id) +
                        " frame holds a stale fused-handler map of method " +
                        std::to_string(F.Method));
-    }
-  }
-  for (size_t M = 0; M != HotData.size(); ++M) {
-    for (const MethodHotData::IcEntry &Ic : HotData[M].InlineCaches) {
-      if (Ic.Code == nullptr)
-        continue;
-      audit::check(!Ic.Code->Evicted && Ic.Code->M == Ic.Target &&
-                       Ic.Code == Code.current(Ic.Target),
-                   "vm",
-                   std::string(Where) + ": inline cache in method " +
-                       std::to_string(M) + " memoizes stale code of method " +
-                       std::to_string(Ic.Target));
     }
   }
 }

@@ -67,15 +67,12 @@ struct MethodHotData {
   /// memoizes. Resolution is a pure function of (receiver class, override
   /// root), so the cache can never change a dispatch outcome — only skip
   /// the hierarchy walk. Allocated on the first virtual/interface call.
+  /// It deliberately holds no code pointer: the target's code is read
+  /// from CodeManager::current() on every call, so installs and evictions
+  /// never have to find and drop stale entries.
   struct IcEntry {
     ClassId Receiver = InvalidClassId;
     MethodId Target = InvalidMethodId;
-    /// Memoized Target code — the variant the site last dispatched into,
-    /// skipping the ensureCompiled() lookup on a hit. Unlike Receiver and
-    /// Target this is NOT a pure memo: it must be dropped when the
-    /// target's code is superseded or evicted (the classic stale-IC JIT
-    /// bug), which CodeEvictionDelegate::onInstalled/onEvicted do.
-    const CodeVariant *Code = nullptr;
   };
   std::vector<IcEntry> InlineCaches;
 };
@@ -168,8 +165,7 @@ struct ExecutionCounters {
 /// The virtual machine. Privately implements the code manager's eviction
 /// delegate: the bounded code cache asks the VM whether a variant is safe
 /// to reclaim (routing live activations through the OSR driver's deopt),
-/// and the VM drops the dispatch memos that could still reach evicted or
-/// superseded code.
+/// and the VM re-audits its frames after every install and eviction.
 class VirtualMachine : private CodeEvictionDelegate {
 public:
   /// \p P must outlive the VM and must verify cleanly (asserted in debug
@@ -264,11 +260,11 @@ public:
 
   /// Cross-checks the VM-level cache/dispatch invariants (see
   /// support/Audit.h): no live frame executes evicted code, every frame's
-  /// cached body pointer matches its method's hot data, and every
-  /// inline-cache code memo points at the target's current variant.
-  /// Throws audit::AuditError on violation; no-op unless auditing is
-  /// enabled. The code manager calls this after installs and evictions
-  /// (through the delegate); the OSR manager after transfers.
+  /// cached body pointer matches its method's hot data, and no frame holds
+  /// a stale fused-handler map. Throws audit::AuditError on violation;
+  /// no-op unless auditing is enabled. The code manager calls this after
+  /// installs and evictions (through the delegate); the OSR manager after
+  /// transfers.
   void auditState(const char *Where) const;
 
 private:
@@ -281,10 +277,7 @@ private:
   void chargeEviction(uint64_t Cycles) override { chargeMutator(Cycles); }
   bool prepareEviction(const CodeVariant &V) override;
   void onEvicted(const CodeVariant &V) override;
-  void onInstalled(const CodeVariant &Installed,
-                   const CodeVariant *Superseded) override;
-  /// Drops every inline-cache code memo that resolves to \p V.
-  void invalidateIcMemos(const CodeVariant &V);
+  void onInstalled(const CodeVariant &Installed) override;
   /// The interpreter's inner loop: executes thread \p T until it finishes,
   /// the clock reaches \p StopClock, or \p MaxInstr instructions have run.
   /// Hot frame state (PC, operand-stack top, body/cost/slab pointers) is

@@ -14,8 +14,9 @@
 //       driver's deoptimization and is the identity on source-level
 //       frame state; unevictable activations pin their variant instead;
 //   (4) a method whose code was fully evicted recompiles on re-entry,
-//       and every cached dispatch structure (inline-cache code memos)
-//       aimed at evicted code is dropped at eviction time;
+//       and no dispatch path (inline-cache hits included) ever enters
+//       tombstoned code: calls resolve their code through the manager's
+//       current variant, never through a cached pointer;
 //   (5) code-evict trace events cost zero simulated cycles and their
 //       exported JSON bytes are pinned by a golden fixture.
 //
@@ -24,6 +25,7 @@
 #include "bytecode/ProgramBuilder.h"
 #include "harness/CsvExport.h"
 #include "harness/Experiment.h"
+#include "harness/Fuzzer.h"
 #include "osr/FrameMap.h"
 #include "osr/OsrManager.h"
 #include "support/Audit.h"
@@ -131,8 +133,8 @@ int64_t deepProgramResult(int64_t Calls, int64_t Iters) {
   return Calls * (Iters * (Iters + 1) / 2 + 2);
 }
 
-/// A monomorphic virtual-dispatch loop, the inline-cache memo's natural
-/// habitat: main() { i = N; s = 0; obj = new A; while (i != 0)
+/// A monomorphic virtual-dispatch loop, where every call after the first
+/// is an inline-cache hit: main() { i = N; s = 0; obj = new A; while (i != 0)
 /// { s += obj.f(); i--; } return s; } with A::f() returning 1.
 struct VirtualLoopProgram {
   Program P;
@@ -466,16 +468,17 @@ TEST(CodeCacheEvictionTest, EvictingLiveInlineGroupDeoptsAndPreservesState) {
 }
 
 //===----------------------------------------------------------------------===//
-// (4) Eviction drops stale inline-cache code memos.
+// (4) An evicted callee recompiles on its next inline-cache hit.
 //===----------------------------------------------------------------------===//
 
-TEST(CodeCacheIcTest, EvictionInvalidatesInlineCacheMemo) {
-  // The regression this guards: the call site in main memoizes the
-  // variant it last dispatched into (IcEntry::Code). Evicting that
-  // variant without dropping the memo leaves the interpreter one IC hit
-  // away from entering tombstoned code — the classic stale-IC JIT bug.
-  // With auditing on, a surviving memo throws AuditError inside the
-  // eviction itself; the behavioral checks below would then never run.
+TEST(CodeCacheIcTest, EvictedCalleeRecompilesOnNextDispatch) {
+  // The regression this guards: the call site in main hits its inline
+  // cache on every iteration. If a hit could reach the callee's code
+  // without asking the manager for the current variant (the classic
+  // stale-IC JIT bug), evicting f would leave the interpreter one hit away
+  // from entering tombstoned code. The checks below pin that f is
+  // recompiled instead; auditing stays on so a frame found on evicted
+  // code at any later install or eviction throws AuditError.
   AuditScope Audited;
   const int64_t N = 200;
   VirtualLoopProgram VP(N);
@@ -490,8 +493,8 @@ TEST(CodeCacheIcTest, EvictionInvalidatesInlineCacheMemo) {
   VirtualMachine VM(VP.P, Model);
   VM.addThread(VP.P.entryMethod());
   ThreadState &T = *VM.threads()[0];
-  // At least one dispatch has resolved (populating the site's memo), and
-  // f's frame has returned, so its baseline is evictable.
+  // At least one dispatch has resolved (populating the site's inline
+  // cache), and f's frame has returned, so its baseline is evictable.
   stepUntil(VM, T, [&] { return VM.codeManager().baseline(VP.F) != nullptr; });
   stepUntil(VM, T, [&] { return T.Frames.size() == 1; });
   const CodeVariant *FBase = VM.codeManager().baseline(VP.F);
@@ -506,8 +509,8 @@ TEST(CodeCacheIcTest, EvictionInvalidatesInlineCacheMemo) {
   EXPECT_TRUE(FBase->Evicted);
   EXPECT_EQ(VM.codeManager().current(VP.F), nullptr);
 
-  // The next dispatch must miss the invalidated memo, recompile f, and
-  // the loop completes correctly on the fresh code.
+  // The next dispatch hits the inline cache, finds no current code for
+  // f, recompiles it, and the loop completes correctly on the fresh code.
   VM.run();
   EXPECT_EQ(T.Result.asInt(), N);
   EXPECT_EQ(T.SlabTop, 0u);
@@ -627,6 +630,58 @@ TEST(CodeCacheGoldenTest, EvictTraceJsonMatchesGolden) {
   std::ostringstream Json;
   writeChromeTrace(Json, Sink, "code-cache/evict");
   expectMatchesGolden("trace_code_evict.golden", Json.str());
+}
+
+//===----------------------------------------------------------------------===//
+// (2) Golden victim order: the eviction sequence of two adversarial
+// scenarios under the fuzzer's default configuration is pinned.
+//===----------------------------------------------------------------------===//
+
+/// One line per code-evict event (method, level, serial, live bytes after
+/// the eviction), then the run's eviction counters and program result.
+std::string victimOrder(const std::string &Workload, PolicyKind Policy,
+                        unsigned Depth) {
+  uint32_t Mask = 0;
+  std::string Error;
+  EXPECT_TRUE(parseTraceFilter("code-evict", Mask, Error)) << Error;
+  TraceSink Sink;
+  Sink.enable(Mask);
+
+  const FuzzConfig Fuzz;
+  RunConfig Config;
+  Config.WorkloadName = Workload;
+  Config.Params = Fuzz.Params;
+  Config.Policy = Policy;
+  Config.MaxDepth = Depth;
+  Config.Aos = Fuzz.Aos;
+  Config.Model = Fuzz.Model;
+  Config.Trace = &Sink;
+  RunResult R = runExperiment(Config);
+
+  std::ostringstream Out;
+  Out << "# " << Workload << ' ' << policyKindName(Policy) << '@' << Depth
+      << " scale " << Config.Params.Scale << " code-cache "
+      << Config.Model.CodeCache.CapacityBytes << '\n';
+  Sink.forEach([&](const TraceEvent &E) {
+    if (E.Kind == TraceEventKind::CodeEvict)
+      Out << E.Method << ' ' << E.A << ' ' << E.C << ' ' << E.D << '\n';
+  });
+  Out << "evictions " << R.Evictions << " recompiles-after-evict "
+      << R.RecompilesAfterEvict << " result " << R.ProgramResult << '\n';
+  return Out.str();
+}
+
+TEST(CodeCacheVictimOrderTest, ScenarioEvictionSequenceMatchesGolden) {
+  // Victim choice is the unique minimum of a total order (preference
+  // tier, LastUsedCycle, InstallSeq), so how the cache stores or scans
+  // its candidates must never move a single line of this fixture.
+  std::string Actual;
+  for (const char *Workload : {"scn-cache-churn", "scn-megamorphic-storm"}) {
+    const FuzzConfig Fuzz;
+    Actual += victimOrder(Workload, Fuzz.PolicyA, Fuzz.DepthA);
+    Actual += victimOrder(Workload, Fuzz.PolicyB, Fuzz.DepthB);
+  }
+  expectMatchesGolden("code_cache_victim_order.golden", Actual);
 }
 
 //===----------------------------------------------------------------------===//
